@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"time"
 
 	"attrank/internal/core"
@@ -13,18 +12,6 @@ import (
 	"attrank/internal/metrics"
 	"attrank/internal/synth"
 )
-
-// sweepWidths are the block sizes the B-sweep measures. Width 1 isolates
-// the non-kernel wins (shared attention/recency vectors, scratch metrics)
-// from the SpMM blocking itself.
-var sweepWidths = []int{1, 4, 8, 16, 32}
-
-type widthResult struct {
-	Width       int     `json:"width"`
-	NS          int64   `json:"sweep_ns"`
-	CellsPerSec float64 `json:"cells_per_sec"`
-	SpeedupVsW1 float64 `json:"speedup_vs_width1"`
-}
 
 type sweepReport struct {
 	GeneratedAt string `json:"generated_at"`
@@ -34,31 +21,26 @@ type sweepReport struct {
 	CurrentN    int    `json:"current_papers"`
 	Edges       int    `json:"edges"`
 	GridCells   int    `json:"grid_cells"`
-	Partitions  int    `json:"yw_partitions"`
 	Reps        int    `json:"reps"`
 
 	// Full Table-3 grid sweep, best of reps, in nanoseconds. The
 	// sequential arm replays the seed implementation cell by cell: one
-	// op.Rank per cell plus a fresh allocating Spearman per cell. The
-	// batched arm is eval.SweepAttRank (blocked SpMM through RankBatch,
-	// scratch metrics, shared attention/recency vectors).
+	// serial-reference op.Rank per cell plus a fresh allocating Spearman
+	// per cell. The sweep arm is eval.SweepAttRank: one tiled-kernel
+	// op.Rank per cell, scored with a per-worker scratch Spearman.
 	SequentialNS          int64   `json:"sequential_sweep_ns"`
-	BatchedNS             int64   `json:"batched_sweep_ns"`
+	SweepNS               int64   `json:"sweep_ns"`
 	SequentialCellsPerSec float64 `json:"sequential_cells_per_sec"`
-	BatchedCellsPerSec    float64 `json:"batched_cells_per_sec"`
-	BatchedVsSequential   float64 `json:"batched_vs_sequential_speedup"`
+	SweepCellsPerSec      float64 `json:"sweep_cells_per_sec"`
+	SweepVsSequential     float64 `json:"sweep_vs_sequential_speedup"`
 
 	// BitIdentical records the runtime cross-check that every cell value
-	// of the batched sweep equals the sequential arm's float64 exactly.
+	// of the sweep arm equals the sequential arm's float64 exactly.
 	BitIdentical bool `json:"bit_identical"`
-
-	// Widths is the B-sweep: the batched grid sweep re-run with the
-	// block width pinned to each candidate size.
-	Widths []widthResult `json:"widths"`
 }
 
 // runSweep benchmarks the full AttRank grid sweep — the Table-3 workload —
-// batched against sequential, and writes BENCH_sweep.json.
+// eval.SweepAttRank against the sequential sweep, and writes BENCH_sweep.json.
 func runSweep(papers int, profile, out string, reps int) error {
 	prof, err := synth.ProfileByName(profile)
 	if err != nil {
@@ -78,7 +60,6 @@ func runSweep(papers int, profile, out string, reps int) error {
 	grid := eval.AttRankGrid(-0.16)
 	m := eval.Rho()
 	op := core.OperatorFor(s.Current)
-	parts := partitionGrid(grid)
 
 	r := sweepReport{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
@@ -88,11 +69,9 @@ func runSweep(papers int, profile, out string, reps int) error {
 		CurrentN:    s.Current.N(),
 		Edges:       net.Edges(),
 		GridCells:   len(grid),
-		Partitions:  len(parts),
 		Reps:        reps,
 	}
-	fmt.Printf("split: current=%d papers, grid=%d cells in %d (y,w) partitions\n",
-		r.CurrentN, r.GridCells, r.Partitions)
+	fmt.Printf("split: current=%d papers, grid=%d cells\n", r.CurrentN, r.GridCells)
 
 	// The sequential arm is the seed sweep: per-cell Rank (Workers = 0 →
 	// the serial CSC reference kernel) and a fresh allocating Spearman,
@@ -117,18 +96,18 @@ func runSweep(papers int, profile, out string, reps int) error {
 	}
 
 	var cells []eval.AttRankCell
-	batched := func() { cells = eval.SweepAttRank(s, truth, grid, m) }
+	sweep := func() { cells = eval.SweepAttRank(s, truth, grid, m) }
 
-	// Untimed priming runs: compile the operator, build the fused and
-	// batched kernels, then pin the runtime bit-equality cross-check.
+	// Untimed priming runs: compile the operator's serial and tiled
+	// kernels, then pin the runtime bit-equality cross-check.
 	fmt.Println("priming (untimed full sweeps)…")
 	sequential()
-	batched()
+	sweep()
 	r.BitIdentical = true
 	for i := range grid {
 		if seqErr[i] != (cells[i].Err != nil) || (!seqErr[i] && cells[i].Value != seqVals[i]) {
 			r.BitIdentical = false
-			fmt.Printf("MISMATCH cell %d: sequential %v (err=%v) batched %v (err=%v)\n",
+			fmt.Printf("MISMATCH cell %d: sequential %v (err=%v) sweep %v (err=%v)\n",
 				i, seqVals[i], seqErr[i], cells[i].Value, cells[i].Err)
 		}
 	}
@@ -136,36 +115,20 @@ func runSweep(papers int, profile, out string, reps int) error {
 	// Interleave the arms' reps so machine drift (thermals, neighbors,
 	// GC pacing) hits both sides equally instead of biasing whichever
 	// batch of reps ran second; best-of suppresses the remaining noise.
-	fmt.Printf("timing sequential and batched arms interleaved (%d reps each)…\n", reps)
-	r.SequentialNS, r.BatchedNS = int64(1<<63-1), int64(1<<63-1)
+	fmt.Printf("timing sequential and sweep arms interleaved (%d reps each)…\n", reps)
+	r.SequentialNS, r.SweepNS = int64(1<<63-1), int64(1<<63-1)
 	for i := 0; i < reps; i++ {
 		if d := best(1, sequential); d < r.SequentialNS {
 			r.SequentialNS = d
 		}
-		if d := best(1, batched); d < r.BatchedNS {
-			r.BatchedNS = d
+		if d := best(1, sweep); d < r.SweepNS {
+			r.SweepNS = d
 		}
 	}
 	secs := func(ns int64) float64 { return float64(ns) / 1e9 }
 	r.SequentialCellsPerSec = float64(len(grid)) / secs(r.SequentialNS)
-	r.BatchedCellsPerSec = float64(len(grid)) / secs(r.BatchedNS)
-	r.BatchedVsSequential = float64(r.SequentialNS) / float64(r.BatchedNS)
-
-	// B-sweep: the same batched sweep with the block width pinned. Runs
-	// single-threaded regardless of GOMAXPROCS so the widths are compared
-	// on kernel merit alone.
-	for _, w := range sweepWidths {
-		fmt.Printf("timing width %d…\n", w)
-		ns := best(reps, func() { sweepAtWidth(op, s, truth, grid, parts, w) })
-		r.Widths = append(r.Widths, widthResult{
-			Width:       w,
-			NS:          ns,
-			CellsPerSec: float64(len(grid)) / secs(ns),
-		})
-	}
-	for i := range r.Widths {
-		r.Widths[i].SpeedupVsW1 = float64(r.Widths[0].NS) / float64(r.Widths[i].NS)
-	}
+	r.SweepCellsPerSec = float64(len(grid)) / secs(r.SweepNS)
+	r.SweepVsSequential = float64(r.SequentialNS) / float64(r.SweepNS)
 
 	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
@@ -176,70 +139,11 @@ func runSweep(papers int, profile, out string, reps int) error {
 		return err
 	}
 	fmt.Printf("sequential: %s (%.2f cells/s)\n", time.Duration(r.SequentialNS), r.SequentialCellsPerSec)
-	fmt.Printf("batched:    %s (%.2f cells/s)  %.2fx vs sequential  bit-identical=%v\n",
-		time.Duration(r.BatchedNS), r.BatchedCellsPerSec, r.BatchedVsSequential, r.BitIdentical)
-	for _, w := range r.Widths {
-		fmt.Printf("  width %2d: %s (%.2f cells/s, %.2fx vs width 1)\n",
-			w.Width, time.Duration(w.NS), w.CellsPerSec, w.SpeedupVsW1)
-	}
+	fmt.Printf("sweep:      %s (%.2f cells/s)  %.2fx vs sequential  bit-identical=%v\n",
+		time.Duration(r.SweepNS), r.SweepCellsPerSec, r.SweepVsSequential, r.BitIdentical)
 	fmt.Printf("wrote %s\n", out)
 	if !r.BitIdentical {
-		return fmt.Errorf("batched sweep is not bit-identical to the sequential sweep")
+		return fmt.Errorf("SweepAttRank is not bit-identical to the sequential sweep")
 	}
 	return nil
-}
-
-// partitionGrid groups grid indices by shared (AttentionYears, W) in
-// first-seen order and sorts each partition by ascending α with stable
-// ties — the same blocking eval.SweepAttRank performs.
-func partitionGrid(grid []core.Params) [][]int {
-	type ywKey struct {
-		y int
-		w float64
-	}
-	index := map[ywKey]int{}
-	var parts [][]int
-	for i, p := range grid {
-		k := ywKey{y: p.AttentionYears, w: p.W}
-		at, ok := index[k]
-		if !ok {
-			at = len(parts)
-			index[k] = at
-			parts = append(parts, nil)
-		}
-		parts[at] = append(parts[at], i)
-	}
-	for _, part := range parts {
-		sort.SliceStable(part, func(a, b int) bool {
-			return grid[part[a]].Alpha < grid[part[b]].Alpha
-		})
-	}
-	return parts
-}
-
-// sweepAtWidth runs the batched grid sweep single-threaded with an
-// explicit block width: per partition, rank through RankBatchWidth and
-// score each cell with a scratch Spearman.
-func sweepAtWidth(op *core.Operator, s *eval.Split, truth []float64, grid []core.Params, parts [][]int, width int) {
-	scratch := metrics.NewScratch()
-	for _, part := range parts {
-		ps := make([]core.Params, len(part))
-		for j, gi := range part {
-			ps[j] = grid[gi]
-			// Keep the grid batched: Workers = 0 would delegate each cell
-			// to the serial reference (see RankBatch); one tiled partition
-			// ranks the same scores bit for bit.
-			ps[j].Workers = 1
-		}
-		results, errs := op.RankBatchWidth(s.TN, ps, width)
-		for j := range part {
-			if errs[j] != nil {
-				continue
-			}
-			if _, err := scratch.Spearman(results[j].Scores, truth); err != nil {
-				panic(err)
-			}
-			results[j] = nil
-		}
-	}
 }

@@ -13,16 +13,17 @@ import (
 )
 
 // Operator is the compiled form of AttRank over one immutable network: it
-// owns the normalized citation matrix (CSC), the CSR mirror with its
-// nnz-balanced row partition, a persistent worker pool, and small caches
-// of the attention and recency vectors. Compile once, then call Rank as
-// many times as needed — across power iterations, across warm-started
-// re-ranks of a live corpus, and across the cells of a parameter sweep —
-// without ever rebuilding matrix state.
+// owns the normalized citation matrix (CSC, the serial reference), the
+// tiled layout built from it with its tile-range partitions, a
+// persistent worker pool, and small caches of the attention and recency
+// vectors. Compile once, then call Rank as many times as needed — across
+// power iterations, across warm-started re-ranks of a live corpus, and
+// across the cells of a parameter sweep — without ever rebuilding matrix
+// state.
 //
 // Everything heavy is built lazily on first use: an operator compiled for
 // a network that is only ever ranked with α = 0 never assembles a matrix,
-// and the CSR mirror plus worker pool exist only once a parallel rank
+// and the tiled layout plus worker pool exist only once a parallel rank
 // (Params.Workers ≠ 0) runs. All methods are safe for concurrent use;
 // concurrent Rank calls share the matrix read-only and the pool
 // interleaves their row-range tasks.
@@ -32,7 +33,6 @@ type Operator struct {
 	mu    sync.Mutex // guards the lazy state below
 	stoch *sparse.Stochastic
 	tiled *sparse.TiledStochastic
-	tmul  *sparse.TiledMulti
 	pool  *sparse.Pool
 	att   vecCache[attKey]
 	rec   vecCache[recKey]
@@ -55,12 +55,6 @@ type Operator struct {
 	// goes idle, instead of waiting for the finalizer.
 	inflight int
 	evicted  bool
-
-	// The sharded-ranking stepper cache lives under its own lock: the
-	// provider calls back into TiledKernel (op.mu) and eviction holds
-	// op.mu, so sharing the mutex would deadlock (see shard.go).
-	shardMu sync.Mutex
-	stepper ShardStepper
 }
 
 // CompileStats records the cost and shape of the parallel kernel
@@ -143,7 +137,7 @@ func (c *vecCache[K]) put(k K, v []float64) *vecEntry {
 }
 
 // kernelCompiles counts stochastic-matrix compilations process-wide; with
-// sparse.CSRConversions it backs the compile-once regression tests.
+// sparse.TiledBuilds it backs the compile-once regression tests.
 var kernelCompiles atomic.Int64
 
 // vectorComputes counts attention/recency vector computations (cache
@@ -162,7 +156,7 @@ func Compile(net *graph.Network) *Operator {
 }
 
 // operatorCacheSize bounds the process-wide operator cache. Each entry
-// pins its network plus up to two copies of the matrix (CSC + CSR), so
+// pins its network plus up to two copies of the matrix (CSC + tiled), so
 // the cache is deliberately small: big enough for a live service (one
 // corpus), a sweep (one split), and the tests' churn, without keeping
 // every historical epoch alive.
@@ -227,7 +221,6 @@ func (op *Operator) closePoolLocked() {
 		op.pool.Close()
 		op.pool = nil
 		op.tiled = nil
-		op.tmul = nil
 	}
 }
 
@@ -318,7 +311,6 @@ func (op *Operator) buildTiledLocked() error {
 	}
 	tt := time.Now()
 	op.tiled = s.Tiled(op.pool, pr.perm)
-	op.tmul = op.tiled.Multi()
 	tiledNS := time.Since(tt).Nanoseconds()
 	op.perm = op.tiled.Perm()
 	op.inv = sparse.InversePerm(op.perm)
@@ -346,19 +338,6 @@ func (op *Operator) acquireTiled() (*sparse.TiledStochastic, func(), error) {
 	}
 	op.inflight++
 	return op.tiled, op.releaseKernel, nil
-}
-
-// acquireTiledMulti returns the batched SpMM view of the tiled kernel,
-// sharing its layout, pool, and partition cache, with the same
-// in-flight accounting as acquireTiled.
-func (op *Operator) acquireTiledMulti() (*sparse.TiledMulti, func(), error) {
-	op.mu.Lock()
-	defer op.mu.Unlock()
-	if err := op.buildTiledLocked(); err != nil {
-		return nil, nil, err
-	}
-	op.inflight++
-	return op.tmul, op.releaseKernel, nil
 }
 
 func (op *Operator) releaseKernel() {
@@ -566,21 +545,6 @@ func (op *Operator) Rank(now int, p Params) (*Result, error) {
 		recP := op.permutedRecency(now, p.W)
 		xp := next // reuse the spare buffer as the permuted iterate
 		permuteInto(xp, x, perm)
-		// Sharded deployment, when configured: the same chain driven over
-		// the row-block shards (bit-identical at equal partition counts —
-		// DESIGN.md §16). Any failure falls through to the local loop with
-		// res restored, so a dying shard costs one rank of latency only.
-		if fin, ok := op.rankSharded(res, xp, attP, recP, p, tol); ok {
-			copy(xp, fin)
-			release()
-			for i := range x {
-				x[i] = xp[perm[i]]
-			}
-			res.Scores = x
-			res.Duration = time.Since(started)
-			op.observeRank(res, p)
-			return res, nil
-		}
 		nextP := make([]float64, n)
 		parts := p.Workers
 		if parts < 0 {

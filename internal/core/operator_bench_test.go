@@ -40,40 +40,30 @@ func benchState(b *testing.B) (*sparse.Stochastic, []float64, []float64, []float
 	return s, sparse.Uniform(n), make([]float64, n), att, rec
 }
 
-// BenchmarkIteration100kLegacy measures one power-method step the way the
-// pre-operator code ran it with Workers: −1: a parallel SpMV that spawns
-// goroutines per call, then three more full-vector sweeps (dangling add is
-// inside MulVec, combine, residual). The matrix conversion is hoisted out,
-// which flatters the legacy path — the old code also re-converted CSC→CSR
-// on every Rank call.
-func BenchmarkIteration100kLegacy(b *testing.B) {
-	s, x, next, att, rec := benchState(b)
-	p := s.Parallel(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.MulVec(next, x)
-		for j := range next {
-			next[j] = 0.5*next[j] + 0.3*att[j] + 0.2*rec[j]
-		}
-		_ = sparse.L1Diff(next, x)
+// BenchmarkIteration100kTiled measures one power-method step through the
+// operator's production kernel: the tiled layout under its compiled
+// relabeling, one partition per pool worker, vectors in storage space.
+func BenchmarkIteration100kTiled(b *testing.B) {
+	net := bench100k(b)
+	op := Compile(net)
+	defer op.Close()
+	if _, err := op.PrimeKernel(); err != nil {
+		b.Fatal(err)
 	}
-}
-
-// BenchmarkIteration100kFused measures the same step through the fused
-// kernel on a persistent pool: one sweep, no goroutine churn.
-func BenchmarkIteration100kFused(b *testing.B) {
-	s, x, next, att, rec := benchState(b)
-	pool := sparse.NewPool(0)
-	defer pool.Close()
-	f := s.Fused(pool)
+	_, x, next, att, rec := benchState(b)
+	xp, attP, recP := make([]float64, len(x)), make([]float64, len(x)), make([]float64, len(x))
+	permuteInto(xp, x, op.perm)
+	permuteInto(attP, att, op.perm)
+	permuteInto(recP, rec, op.perm)
+	parts := op.pool.Size()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.Step(next, x, att, rec, 0.5, 0.3, 0.2, pool.Size())
+		op.tiled.Step(next, xp, attP, recP, 0.5, 0.3, 0.2, parts)
 	}
 }
 
 // BenchmarkIteration100kSerialReference is the serial CSC baseline, for
-// placing the fused numbers against the reference kernel.
+// placing the tiled numbers against the reference kernel.
 func BenchmarkIteration100kSerialReference(b *testing.B) {
 	s, x, next, att, rec := benchState(b)
 	b.ResetTimer()

@@ -56,7 +56,7 @@ func (p PageRankParams) maxIter() int {
 
 // PageRank computes classic random-walk-with-uniform-jumps scores (Eq. 1
 // of the paper) on the compiled operator, reusing the CSC matrix, the
-// tiled CSR layout, the relabeling and the worker pool that AttRank
+// tiled layout, the relabeling and the worker pool that AttRank
 // ranks already paid for. The recurrence is the α+β+γ=1 AttRank limit
 // with the whole jump mass uniform:
 //

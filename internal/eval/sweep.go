@@ -3,7 +3,6 @@ package eval
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"attrank/internal/core"
@@ -101,69 +100,29 @@ type AttRankCell struct {
 
 // SweepAttRank evaluates the full AttRank grid on the split, returning
 // cells in grid order with a per-cell error, exactly as the sequential
-// sweep did. Internally the grid is partitioned by shared (y, w) — cells
-// that differ only in α/β/γ share one attention and one recency vector —
-// and each partition runs through the operator's blocked SpMM path: the
-// cells are ordered by ascending α so RankBatch packs blocks whose lanes
-// converge together, and one matrix traversal per power step serves the
-// whole block. Scores per cell are bit-identical to the per-cell
-// op.Rank the sequential sweep performed. Partitions are spread over a
-// fixed pool of GOMAXPROCS workers, each reusing one metrics.Scratch.
+// sweep did. Every cell is one op.Rank on the split's compiled operator,
+// scored at once and then dropped, so a worker holds at most one Result
+// at a time. Cells run on a fixed pool of GOMAXPROCS workers, each
+// reusing one metrics.Scratch. A cell with Workers = 0 runs on one
+// partition of the tiled kernel instead of the serial CSC reference: the
+// scores are the same bits, and the grid cells are already spread over
+// the workers. Cells that set Workers keep it.
 func SweepAttRank(s *Split, truth []float64, grid []core.Params, m Metric) []AttRankCell {
 	op := core.OperatorFor(s.Current)
 	cells := make([]AttRankCell, len(grid))
-
-	// Partition the grid by (y, w) in first-seen order.
-	type ywKey struct {
-		y int
-		w float64
-	}
-	index := map[ywKey]int{}
-	var partitions [][]int // original grid indices per partition
-	for i, p := range grid {
-		k := ywKey{y: p.AttentionYears, w: p.W}
-		at, ok := index[k]
-		if !ok {
-			at = len(partitions)
-			index[k] = at
-			partitions = append(partitions, nil)
+	runWorkers(len(grid), func(scratch *metrics.Scratch, i int) {
+		p := grid[i]
+		q := p
+		if q.Workers == 0 {
+			q.Workers = 1
 		}
-		partitions[at] = append(partitions[at], i)
-	}
-
-	runWorkers(len(partitions), func(scratch *metrics.Scratch, pi int) {
-		part := partitions[pi]
-		// Ascending α keeps each SpMM block convergence-homogeneous: the
-		// iteration count of the power method grows with α, so lanes of a
-		// block retire together instead of leaving one slow lane to
-		// finish alone. Ties keep grid order.
-		order := make([]int, len(part))
-		copy(order, part)
-		sort.SliceStable(order, func(a, b int) bool {
-			return grid[order[a]].Alpha < grid[order[b]].Alpha
-		})
-		ps := make([]core.Params, len(order))
-		for j, gi := range order {
-			ps[j] = grid[gi]
-			if ps[j].Workers == 0 {
-				// Workers = 0 cells would delegate to the per-cell serial
-				// reference inside RankBatch; one partition of the tiled
-				// kernel ranks the same scores bit for bit and keeps the
-				// block batched. Cells that set Workers keep it.
-				ps[j].Workers = 1
-			}
+		res, err := op.Rank(s.TN, q)
+		if err != nil {
+			cells[i] = AttRankCell{Params: p, Err: err}
+			return
 		}
-		results, errs := op.RankBatch(s.TN, ps)
-		for j, gi := range order {
-			p := grid[gi]
-			if errs[j] != nil {
-				cells[gi] = AttRankCell{Params: p, Err: errs[j]}
-				continue
-			}
-			v, err := m.score(scratch, results[j].Scores, truth)
-			cells[gi] = AttRankCell{Params: p, Value: v, Err: err}
-			results[j] = nil // release the score vector before the next cell
-		}
+		v, err := m.score(scratch, res.Scores, truth)
+		cells[i] = AttRankCell{Params: p, Value: v, Err: err}
 	})
 	return cells
 }

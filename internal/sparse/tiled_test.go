@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"testing/quick"
 )
 
 // randomPerm returns a uniformly random permutation of [0, n).
@@ -25,9 +26,9 @@ func permuteF64(src []float64, perm []int32) []float64 {
 }
 
 // TestTiledStepBitIdenticalAtIdentity pins the compressed layout against
-// both references at the identity relabeling: scores bit-identical to the
-// serial CSC step and to FusedStochastic.Step for every partition count,
-// residual exactly the serial sum at one partition. Small tile heights
+// the serial CSC reference at the identity relabeling: scores
+// bit-identical to the serial step for every partition count, residual
+// exactly the serial sum at one partition. Small tile heights
 // force multi-tile layouts even on these tiny matrices.
 func TestTiledStepBitIdenticalAtIdentity(t *testing.T) {
 	pool := NewPool(4)
@@ -72,6 +73,35 @@ func TestTiledStepBitIdenticalAtIdentity(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTiledStepQuick is the randomized form of the identity check: on
+// random matrices, tile heights and partition counts the tiled step
+// reproduces the serial CSC step bit for bit.
+func TestTiledStepQuick(t *testing.T) {
+	pool := NewPool(3)
+	defer pool.Close()
+	f := func(seed int64, rawParts, rawRows uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 5 + rng.Intn(80)
+		s := mustStochastic(t, randomMatrix(t, seed, n, n*3))
+		x, att, rec := randomVectors(rng, n)
+		want := make([]float64, n)
+		referenceStep(s, want, x, att, rec, 0.4, 0.35, 0.25)
+		got := make([]float64, n)
+		ti := s.TiledRows(pool, randomPerm(rng, n), 1+int(rawRows%32))
+		xp, attP, recP := permuteF64(x, ti.Perm()), permuteF64(att, ti.Perm()), permuteF64(rec, ti.Perm())
+		ti.Step(got, xp, attP, recP, 0.4, 0.35, 0.25, 1+int(rawParts%11))
+		for i := range want {
+			if got[ti.Perm()[i]] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -138,79 +168,6 @@ func TestTiledRelabelingInvariance(t *testing.T) {
 	}
 }
 
-// TestTiledMultiBitIdenticalPerLane: every lane of the batched tiled
-// kernel must reproduce the single-vector tiled kernel bit for bit —
-// scores and residuals — at the same partition count, for block widths
-// exercising all register-chunk shapes (8/4/2/1).
-func TestTiledMultiBitIdenticalPerLane(t *testing.T) {
-	pool := NewPool(4)
-	defer pool.Close()
-	for _, tc := range []struct {
-		name string
-		s    *Stochastic
-	}{
-		{"power-law-dangling", powerLawStochastic(t, 61, 170, 1000)},
-		{"all-dangling", mustStochastic(t, emptySquare(t, 29))},
-	} {
-		s := tc.s
-		n := s.N()
-		rng := rand.New(rand.NewSource(88))
-		perm := randomPerm(rng, n)
-		ti := s.TiledRows(pool, perm, 16)
-		m := ti.Multi()
-		if m.N() != n {
-			t.Fatalf("%s: multi N = %d, want %d", tc.name, m.N(), n)
-		}
-		_, attA, recA := randomVectors(rng, n)
-		_, attB, recB := randomVectors(rng, n)
-		for _, b := range []int{1, 2, 3, 5, 8, 11} {
-			lanes := make([][]float64, b)
-			att := make([][]float64, b)
-			rec := make([][]float64, b)
-			alpha := make([]float64, b)
-			beta := make([]float64, b)
-			gamma := make([]float64, b)
-			for j := 0; j < b; j++ {
-				x, _, _ := randomVectors(rng, n)
-				lanes[j] = x
-				if j%2 == 0 {
-					att[j], rec[j] = attA, recA
-				} else {
-					att[j], rec[j] = attB, recB
-				}
-				alpha[j] = 0.1 + 0.05*float64(j%9)
-				beta[j] = 0.3 * rng.Float64()
-				gamma[j] = 1 - alpha[j] - beta[j]
-			}
-			for _, parts := range []int{1, 4} {
-				x := make([]float64, n*b)
-				for j, lane := range lanes {
-					for i, v := range lane {
-						x[i*b+j] = v
-					}
-				}
-				next := make([]float64, n*b)
-				resid := make([]float64, b)
-				m.Step(next, x, att, rec, alpha, beta, gamma, resid, parts)
-				for j := 0; j < b; j++ {
-					wantNext := make([]float64, n)
-					wantResid := ti.Step(wantNext, lanes[j], att[j], rec[j], alpha[j], beta[j], gamma[j], parts)
-					if resid[j] != wantResid {
-						t.Fatalf("%s b=%d parts=%d lane %d: resid = %v, want exactly %v",
-							tc.name, b, parts, j, resid[j], wantResid)
-					}
-					for i := 0; i < n; i++ {
-						if next[i*b+j] != wantNext[i] {
-							t.Fatalf("%s b=%d parts=%d lane %d: next[%d] not bit-identical",
-								tc.name, b, parts, j, i)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestTiledMultiWindow forces the multi-window path: a 70k-node matrix
 // needs two 64Ki column windows, so rows whose entries straddle the
 // window boundary carry a split point and the kernel walks two window
@@ -267,29 +224,6 @@ func TestTiledMultiWindow(t *testing.T) {
 	for i := range want {
 		if gotP[perm[i]] != want[i] {
 			t.Fatalf("relabeled multi-window score of row %d not bit-identical", i)
-		}
-	}
-
-	// Every lane of the batched kernel crosses the window split the same
-	// way the single-vector kernel does.
-	const b = 3
-	xm := make([]float64, n*b)
-	for j := 0; j < b; j++ {
-		for i := 0; i < n; i++ {
-			xm[i*b+j] = xp[i]
-		}
-	}
-	nextM := make([]float64, n*b)
-	residM := make([]float64, b)
-	tp.Multi().Step(nextM, xm,
-		[][]float64{attP, attP, attP}, [][]float64{recP, recP, recP},
-		[]float64{0.5, 0.5, 0.5}, []float64{0.3, 0.3, 0.3}, []float64{0.2, 0.2, 0.2},
-		residM, 1)
-	for j := 0; j < b; j++ {
-		for i := range want {
-			if nextM[int(perm[i])*b+j] != want[i] {
-				t.Fatalf("multi-window SpMM lane %d row %d not bit-identical", j, i)
-			}
 		}
 	}
 
@@ -504,3 +438,25 @@ func TestTiledValueCompression(t *testing.T) {
 		}
 	}
 }
+
+// The benchmarks time one power-method iteration of the tiled kernel on a
+// skewed 20k-row matrix, across the pool and on the calling goroutine.
+
+func benchTiled(b *testing.B, pool *Pool, parts int) {
+	s := powerLawStochastic(b, 7, 20000, 200000)
+	ti := s.Tiled(pool, nil)
+	n := s.N()
+	next, x, att, rec := make([]float64, n), Uniform(n), Uniform(n), Uniform(n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ti.Step(next, x, att, rec, 0.5, 0.3, 0.2, parts)
+	}
+}
+
+func BenchmarkIterationTiled(b *testing.B) {
+	pool := NewPool(0)
+	defer pool.Close()
+	benchTiled(b, pool, pool.Size())
+}
+
+func BenchmarkIterationTiledSerial(b *testing.B) { benchTiled(b, nil, 1) }

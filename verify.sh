@@ -4,24 +4,25 @@
 # from the repository root.
 #
 #   ./verify.sh         full gate (gofmt + build + vet + race -shuffle=on
-#                       over every package + a one-rep batched-sweep
-#                       smoke so the blocked-SpMM path can't silently rot)
+#                       over every package, then the bench smokes: a
+#                       one-rep grid sweep checked bit for bit against
+#                       the serial-reference sweep, the tiled ↔ serial
+#                       kernel smoke, the push-reconcile ingest smoke
+#                       and the -impact smoke)
 #   ./verify.sh quick   kernel + durability + overload gate: gofmt +
 #                       build + vet, then a short-mode race pass over the
-#                       ranking hot path (sparse pool/fused/multi kernels,
-#                       core operator/parallel/RankBatch tests, scratch
+#                       ranking hot path (sparse pool and tiled kernel,
+#                       core operator/parallel/relabeling tests, scratch
 #                       metrics), the ingest WAL tests, the
 #                       admission-control tests, the replication
-#                       follower tests, the impact-indicator suites and
-#                       the sharded-ranking suites (partition, exchange
-#                       wire, loopback bit-equality, zero-alloc rounds) —
+#                       follower tests and the impact-indicator suites —
 #                       seconds instead of minutes, for tight iteration
 #   ./verify.sh fuzz    short coverage-guided fuzz sessions for the
-#                       dataio readers, HTTP query parsing and the shard
-#                       exchange wire decoders
+#                       dataio readers and HTTP query parsing
 #
-# Benchmarks are separate: see bench.sh, which regenerates
-# BENCH_core.json and BENCH_service.json.
+# Benchmarks are separate: see bench.sh, which regenerates the committed
+# BENCH_core, BENCH_sweep, BENCH_service, BENCH_cluster and BENCH_ingest
+# files.
 set -eu
 
 echo "==> gofmt -l"
@@ -40,7 +41,7 @@ go vet ./...
 
 if [ "${1:-}" = "quick" ]; then
 	echo "==> go test -race -short (kernel packages)"
-	go test -race -short -run 'Parallel|Fused|Multi|Operator|Pool|Partition|RankBatch|Tiled|RCM|Relabel|Window|Degree' \
+	go test -race -short -run 'Parallel|Operator|Pool|Partition|Tiled|RCM|Relabel|Window|Degree' \
 		./internal/sparse/ ./internal/core/
 	echo "==> go test -race (scratch metrics bit-equality)"
 	go test -race -run 'Scratch|Ordering|Ranks' ./internal/metrics/
@@ -56,9 +57,6 @@ if [ "${1:-}" = "quick" ]; then
 	echo "==> go test -race (impact indicators: classes, PageRank bit-equality, endpoints, replication)"
 	go test -race -run 'Impact|Class|Indicator|PageRank|Threshold|Impulse|NormalizeID|Golden' \
 		./internal/impact/ ./internal/core/ ./internal/ingest/ ./internal/service/ ./internal/replication/
-	echo "==> go test -race (sharded ranking: partition, block extraction, exchange, bit-equality, zero-alloc)"
-	go test -race -run 'Shard|Exchange|Boundary|TileBlock|SessionGuards' \
-		./internal/sparse/ ./internal/shard/
 	echo "verify.sh: quick checks passed"
 	exit 0
 fi
@@ -72,8 +70,6 @@ if [ "${1:-}" = "fuzz" ]; then
 		echo "==> go test -fuzz $target (service)"
 		go test -run "^${target}\$" -fuzz "^${target}\$" -fuzztime 5s ./internal/service/
 	done
-	echo "==> go test -fuzz FuzzShardFrame (shard exchange wire)"
-	go test -run '^FuzzShardFrame$' -fuzz '^FuzzShardFrame$' -fuzztime 5s ./internal/shard/
 	echo "verify.sh: fuzz sessions passed"
 	exit 0
 fi
@@ -85,7 +81,7 @@ echo "==> attrank-bench -sweep smoke (one rep, small network)"
 GOMAXPROCS=1 go run ./cmd/attrank-bench -sweep -sweep-papers 20000 -sweep-reps 1 \
 	-sweep-out /tmp/BENCH_sweep_smoke.json
 
-echo "==> attrank-bench -smoke (tiled vs csr fused vs serial bit-equality, seeded 10k graph)"
+echo "==> attrank-bench -smoke (tiled vs serial bit-equality, seeded 10k graph)"
 go run ./cmd/attrank-bench -smoke
 
 echo "==> attrank-bench -ingest smoke (push-vs-exact reconciliation bit-equality, 20k graph)"
@@ -99,13 +95,5 @@ echo "==> attrank-bench -impact smoke (served indicator classes vs in-process re
 # Exits non-zero if any score or C1–C5 class served by /v1/impact differs
 # from an independent recompute through internal/impact.
 go run ./cmd/attrank-bench -impact -impact-papers 2000
-
-echo "==> attrank-bench -shard smoke (2-shard loopback rank vs single-process kernel, 20k graph)"
-# Exits non-zero on the first score or residual bit that differs between
-# the sharded rank (cold and warm-started) and the local tiled kernel at
-# the same partition count, or if the rank silently fell back to the
-# local kernel instead of taking the distributed path.
-go run ./cmd/attrank-bench -shard -shard-papers 20000 -shard-counts 2 -shard-reps 1 \
-	-shard-out /tmp/BENCH_shard_smoke.json
 
 echo "verify.sh: all checks passed"
