@@ -12,7 +12,7 @@ import (
 // synthetic graph, the production kernel must reproduce the reference
 // bit for bit. It drives two arms through the same power iterations —
 // the serial CSC reference (three sweeps) and the production tiled
-// kernel under its RCM relabeling, partitioned across the pool —
+// kernel under its degree-run relabeling, partitioned across the pool —
 // comparing every score of every iteration bitwise, then cross-checks
 // the operator's parallel Rank against its serial Rank the same way. Any
 // mismatch is an error, which main turns into a non-zero exit.
@@ -38,11 +38,7 @@ func runSmoke(papers int, profile string) error {
 
 	pool := sparse.NewPool(0)
 	defer pool.Close()
-	deg := make([]int32, n)
-	for i := range deg {
-		deg[i] = int32(net.Degree(int32(i)))
-	}
-	perm := s.DegreeOrder(sparse.RCMOrder(n, deg, net.Neighbors))
+	perm := s.DegreeOrder()
 	tiled := s.Tiled(pool, perm)
 	permute := func(dst, src []float64) {
 		for i, p := range perm {

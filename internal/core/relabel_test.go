@@ -119,7 +119,44 @@ func TestForcePermutationAfterCompilePanics(t *testing.T) {
 	op.forcePermutation(sparse.IdentityPerm(net.N()))
 }
 
-// TestCompileStatsLayout: PrimeKernel must report the concurrent compile
+// TestProductionRelabelingIsDegreeOrder pins the relabeling every
+// production operator runs under (the suites above force theirs): an
+// operator compiled without forcePermutation must carry exactly the
+// degree-run ordering of its own stochastic matrix, and on a two-window
+// network that ordering must keep every id inside its 64Ki window.
+func TestProductionRelabelingIsDegreeOrder(t *testing.T) {
+	net := randomNet(t, 780, 70000)
+	op := Compile(net)
+	defer op.Close()
+	if _, err := op.PrimeKernel(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := op.stochastic()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := s.DegreeOrder()
+	if len(op.perm) != len(want) {
+		t.Fatalf("op.perm has %d entries, want %d", len(op.perm), len(want))
+	}
+	moved := 0
+	for i, p := range op.perm {
+		if p != want[i] {
+			t.Fatalf("op.perm[%d] = %d, DegreeOrder gives %d", i, p, want[i])
+		}
+		if p>>sparse.WindowBits != int32(i)>>sparse.WindowBits {
+			t.Fatalf("op.perm[%d] = %d crosses a 64Ki window", i, p)
+		}
+		if p != int32(i) {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("production relabeling is the identity; the test network has no degree runs to sort")
+	}
+}
+
+// TestCompileStatsLayout: PrimeKernel must report the compile
 // pipeline's timings and a layout whose shape matches the network.
 func TestCompileStatsLayout(t *testing.T) {
 	net := randomNet(t, 779, 500)

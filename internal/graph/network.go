@@ -122,27 +122,6 @@ func (n *Network) Citers(i int32, fn func(citer int32)) {
 // InDegree returns the citation count CC(i) of node i.
 func (n *Network) InDegree(i int32) int { return int(n.citPtr[i+1] - n.citPtr[i]) }
 
-// Degree returns the undirected degree of node i: references plus
-// citations. Together with Neighbors it exposes the symmetrized
-// adjacency the cache-aware relabeling pass (sparse.RCMOrder) consumes.
-func (n *Network) Degree(i int32) int {
-	return int(n.refPtr[i+1] - n.refPtr[i] + n.citPtr[i+1] - n.citPtr[i])
-}
-
-// Neighbors calls fn for every node adjacent to i in the undirected
-// sense: first the papers i cites, then the papers citing i. A node
-// connected both ways is reported twice; consumers that need a set must
-// deduplicate (BFS-style visitors get this for free via their visited
-// marks).
-func (n *Network) Neighbors(i int32, fn func(j int32)) {
-	for k := n.refPtr[i]; k < n.refPtr[i+1]; k++ {
-		fn(n.refs[k])
-	}
-	for k := n.citPtr[i]; k < n.citPtr[i+1]; k++ {
-		fn(n.citers[k])
-	}
-}
-
 // HasEdge reports whether the citation citing→cited exists. Reference
 // lists are sorted by cited index (Build orders edges by (citing, cited)),
 // so this is a binary search over the citing paper's references.

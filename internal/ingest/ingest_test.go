@@ -459,11 +459,11 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 // TestRerankReusesCompiledOperator pins the compile-once contract of the
 // re-rank path: within a compaction epoch the base network pointer is
 // stable, so every debounced re-rank hits the cached ranking operator —
-// the matrix is normalized and converted to CSR at most once per epoch,
+// the matrix is normalized and cut into tiles at most once per epoch,
 // not once per re-rank.
 func TestRerankReusesCompiledOperator(t *testing.T) {
 	cfg := testConfig(t.TempDir())
-	cfg.Params.Workers = -1 // exercise the fused kernel's CSR mirror too
+	cfg.Params.Workers = -1 // exercise the tiled kernel's compile too
 	ing := mustOpen(t, seedNet(t), cfg)
 	if err := ing.Flush(); err != nil { // settle the initial epoch
 		t.Fatal(err)

@@ -2,28 +2,44 @@ package sparse
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
 
-func randomMatrix(t testing.TB, seed int64, n, nnz int) *Matrix {
+// uniformMatrix builds an n×n matrix from nnz random coordinates, each
+// with value 1, repeats dropped. Normalized, every column holds one value
+// (1/k_j), the shape graph.Network.StochasticMatrix produces and the only
+// one TiledRows accepts.
+func uniformMatrix(t testing.TB, seed int64, n, nnz int) *Matrix {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	entries := make([]Coord, nnz)
 	for i := range entries {
-		entries[i] = Coord{
-			Row: int32(rng.Intn(n)), Col: int32(rng.Intn(n)), Val: rng.Float64(),
+		entries[i] = Coord{Row: int32(rng.Intn(n)), Col: int32(rng.Intn(n)), Val: 1}
+	}
+	return mustMatrix2(t, n, n, distinct(entries))
+}
+
+// distinct drops every repeat of an earlier entry's (row, col), as the
+// graph builder drops duplicate edges; NewMatrix would sum the repeats
+// into a non-uniform column.
+func distinct(entries []Coord) []Coord {
+	seen := make(map[[2]int32]bool, len(entries))
+	out := entries[:0]
+	for _, e := range entries {
+		if k := [2]int32{e.Row, e.Col}; !seen[k] {
+			seen[k] = true
+			out = append(out, e)
 		}
 	}
-	m, err := NewMatrix(n, n, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+	return out
 }
 
 // powerLawStochastic builds a column-stochastic matrix whose in-degree
 // distribution is heavily skewed (a few rows receive most of the entries)
 // and whose tail columns are dangling — the shape of a citation network.
+// Repeated draws of one (row, col) are dropped, so every column stays
+// uniform.
 func powerLawStochastic(t testing.TB, seed int64, n, nnz int) *Stochastic {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -39,7 +55,7 @@ func powerLawStochastic(t testing.TB, seed int64, n, nnz int) *Stochastic {
 		col := int32(rng.Intn(2*n/3 + 1))
 		entries = append(entries, Coord{Row: row, Col: col, Val: 1})
 	}
-	m, err := NewMatrix(n, n, entries)
+	m, err := NewMatrix(n, n, distinct(entries))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,4 +109,23 @@ func emptySquare(t testing.TB, n int) *Matrix {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// windowAlign projects an arbitrary ordering onto the window-preserving
+// family TiledRows accepts: within each 64Ki block of original ids, rows
+// are ranked by their position in perm; across blocks nothing moves.
+func windowAlign(perm []int32) []int32 {
+	n := len(perm)
+	out := make([]int32, n)
+	for lo := 0; lo < n; lo += windowSize {
+		ids := make([]int32, 0, windowSize)
+		for i := lo; i < n && i < lo+windowSize; i++ {
+			ids = append(ids, int32(i))
+		}
+		sort.Slice(ids, func(a, b int) bool { return perm[ids[a]] < perm[ids[b]] })
+		for rank, id := range ids {
+			out[id] = int32(lo + rank)
+		}
+	}
+	return out
 }

@@ -37,7 +37,7 @@ func TestTiledStepBitIdenticalAtIdentity(t *testing.T) {
 		name string
 		s    *Stochastic
 	}{
-		{"random", mustStochastic(t, randomMatrix(t, 31, 120, 700))},
+		{"random", mustStochastic(t, uniformMatrix(t, 31, 120, 700))},
 		{"power-law-dangling", powerLawStochastic(t, 32, 150, 900)},
 		{"all-dangling", mustStochastic(t, emptySquare(t, 40))},
 	} {
@@ -85,7 +85,7 @@ func TestTiledStepQuick(t *testing.T) {
 	f := func(seed int64, rawParts, rawRows uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 5 + rng.Intn(80)
-		s := mustStochastic(t, randomMatrix(t, seed, n, n*3))
+		s := mustStochastic(t, uniformMatrix(t, seed, n, n*3))
 		x, att, rec := randomVectors(rng, n)
 		want := make([]float64, n)
 		referenceStep(s, want, x, att, rec, 0.4, 0.35, 0.25)
@@ -117,7 +117,7 @@ func TestTiledRelabelingInvariance(t *testing.T) {
 		name string
 		s    *Stochastic
 	}{
-		{"random", mustStochastic(t, randomMatrix(t, 51, 140, 800))},
+		{"random", mustStochastic(t, uniformMatrix(t, 51, 140, 800))},
 		{"power-law-dangling", powerLawStochastic(t, 52, 160, 1000)},
 		{"all-dangling", mustStochastic(t, emptySquare(t, 33))},
 	} {
@@ -168,77 +168,80 @@ func TestTiledRelabelingInvariance(t *testing.T) {
 	}
 }
 
-// TestTiledMultiWindow forces the multi-window path: a 70k-node matrix
-// needs two 64Ki column windows, so rows whose entries straddle the
-// window boundary carry a split point and the kernel walks two window
+// TestTiledMultiWindow forces the multi-window paths: a 70k-node matrix
+// needs two 64Ki column windows (the two-window kernel) and a 150k-node
+// one three (the generic window loop), so rows whose entries straddle a
+// window boundary carry split points and the kernel walks several window
 // runs per row. Scores must match the serial reference bit for bit,
 // under identity and window-aligned random relabelings alike, and a
 // cross-window permutation must be rejected.
 func TestTiledMultiWindow(t *testing.T) {
-	const n = 70000
-	entries := []Coord{
-		{Row: 5, Col: 0, Val: 1},
-		{Row: 5, Col: n - 1, Val: 1}, // row 5 straddles both windows
-		{Row: 9, Col: 1, Val: 2},
-		{Row: 9, Col: n - 2, Val: 1},
-		{Row: 2100, Col: 7, Val: 1}, // second tile, window 0 only
-		{Row: 2101, Col: 9, Val: 3},
-		{Row: 69000, Col: 68000, Val: 2}, // window 1 only
-	}
-	rng := rand.New(rand.NewSource(71))
-	for i := 0; i < 400; i++ {
-		entries = append(entries, Coord{
-			Row: int32(rng.Intn(64)), Col: int32(rng.Intn(n)), Val: 1,
-		})
-	}
-	s := mustStochastic(t, mustMatrix2(t, n, n, entries))
-
-	ti := s.Tiled(nil, nil)
-	st := ti.Stats()
-	if st.Windows != 2 {
-		t.Fatalf("layout has %d windows, want 2 for n=%d", st.Windows, n)
-	}
-
-	x, att, rec := randomVectors(rng, n)
-	want := make([]float64, n)
-	wantResid := referenceStep(s, want, x, att, rec, 0.5, 0.3, 0.2)
-	got := make([]float64, n)
-	if resid := ti.Step(got, x, att, rec, 0.5, 0.3, 0.2, 1); resid != wantResid {
-		t.Fatalf("multi-window resid = %v, want exactly %v", resid, wantResid)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("multi-window next[%d] = %v, want %v", i, got[i], want[i])
+	for _, tc := range []struct{ n, windows int }{{70000, 2}, {150000, 3}} {
+		n := tc.n
+		entries := []Coord{
+			{Row: 5, Col: 0, Val: 1},
+			{Row: 5, Col: int32(n / 2), Val: 1},
+			{Row: 5, Col: int32(n - 1), Val: 1}, // row 5 straddles every window
+			{Row: 9, Col: 1, Val: 1},
+			{Row: 9, Col: int32(n - 2), Val: 1},
+			{Row: 2100, Col: 7, Val: 1}, // second tile, window 0 only
+			{Row: 2101, Col: 9, Val: 1},
+			{Row: 69000, Col: 68000, Val: 1}, // window 1 only
 		}
-	}
-
-	// Relabeled within windows: WindowAlign projects a fully random
-	// ordering onto the window-preserving family the layout accepts.
-	perm := WindowAlign(randomPerm(rng, n))
-	tp := s.Tiled(nil, perm)
-	xp := permuteF64(x, perm)
-	attP := permuteF64(att, perm)
-	recP := permuteF64(rec, perm)
-	gotP := make([]float64, n)
-	tp.Step(gotP, xp, attP, recP, 0.5, 0.3, 0.2, 1)
-	for i := range want {
-		if gotP[perm[i]] != want[i] {
-			t.Fatalf("relabeled multi-window score of row %d not bit-identical", i)
+		rng := rand.New(rand.NewSource(71))
+		for i := 0; i < 400; i++ {
+			entries = append(entries, Coord{
+				Row: int32(rng.Intn(64)), Col: int32(rng.Intn(n)), Val: 1,
+			})
 		}
-	}
+		s := mustStochastic(t, mustMatrix2(t, n, n, distinct(entries)))
 
-	// A permutation that moves ids across the 64Ki boundary violates the
-	// layout contract and must be refused loudly.
-	bad := IdentityPerm(n)
-	bad[0], bad[n-1] = bad[n-1], bad[0]
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("cross-window permutation did not panic")
+		ti := s.Tiled(nil, nil)
+		if st := ti.Stats(); st.Windows != tc.windows {
+			t.Fatalf("n=%d: layout has %d windows, want %d", n, st.Windows, tc.windows)
+		}
+
+		x, att, rec := randomVectors(rng, n)
+		want := make([]float64, n)
+		wantResid := referenceStep(s, want, x, att, rec, 0.5, 0.3, 0.2)
+		got := make([]float64, n)
+		if resid := ti.Step(got, x, att, rec, 0.5, 0.3, 0.2, 1); resid != wantResid {
+			t.Fatalf("n=%d: multi-window resid = %v, want exactly %v", n, resid, wantResid)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: multi-window next[%d] = %v, want %v", n, i, got[i], want[i])
 			}
+		}
+
+		// Relabeled within windows: windowAlign projects a fully random
+		// ordering onto the window-preserving family the layout accepts.
+		perm := windowAlign(randomPerm(rng, n))
+		tp := s.Tiled(nil, perm)
+		xp := permuteF64(x, perm)
+		attP := permuteF64(att, perm)
+		recP := permuteF64(rec, perm)
+		gotP := make([]float64, n)
+		tp.Step(gotP, xp, attP, recP, 0.5, 0.3, 0.2, 1)
+		for i := range want {
+			if gotP[perm[i]] != want[i] {
+				t.Fatalf("n=%d: relabeled multi-window score of row %d not bit-identical", n, i)
+			}
+		}
+
+		// A permutation that moves ids across the 64Ki boundary violates
+		// the layout contract and must be refused loudly.
+		bad := IdentityPerm(n)
+		bad[0], bad[n-1] = bad[n-1], bad[0]
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("n=%d: cross-window permutation did not panic", n)
+				}
+			}()
+			s.Tiled(nil, bad)
 		}()
-		s.Tiled(nil, bad)
-	}()
+	}
 }
 
 // mustMatrix2 is mustMatrix for testing.TB (the wide-tile test builds a
@@ -252,37 +255,38 @@ func mustMatrix2(t testing.TB, rows, cols int, entries []Coord) *Matrix {
 	return m
 }
 
-// TestWindowAlign pins the projection onto the window-preserving
-// permutation family: below 64Ki ids it is the identity transform (any
+// TestWindowAlign pins the test helper that projects an ordering onto the
+// window-preserving permutation family: below 64Ki ids it is the
+// identity transform (any
 // permutation is already window-preserving there), above it the result
 // keeps every id in its original window while preserving the given
 // ordering's relative ranks inside each window.
 func TestWindowAlign(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 
-	// Small n: a single window — WindowAlign must return the permutation
+	// Small n: a single window — windowAlign must return the permutation
 	// unchanged (ranks of a permutation of [0,n) are the values
 	// themselves).
 	small := randomPerm(rng, 1000)
-	aligned := WindowAlign(small)
+	aligned := windowAlign(small)
 	for i := range small {
 		if aligned[i] != small[i] {
-			t.Fatalf("n=1000: WindowAlign changed perm[%d] from %d to %d", i, small[i], aligned[i])
+			t.Fatalf("n=1000: windowAlign changed perm[%d] from %d to %d", i, small[i], aligned[i])
 		}
 	}
 
 	// Large n: a fully random ordering projects to a bijection that never
 	// crosses its 64Ki window and orders each window by the given ranks.
 	const n = 150000 // three windows, the last one partial
-	p := WindowAlign(randomPerm(rng, n))
+	p := windowAlign(randomPerm(rng, n))
 	seen := make([]bool, n)
 	for i, v := range p {
 		if v < 0 || int(v) >= n || seen[v] {
-			t.Fatalf("WindowAlign result is not a bijection at %d", i)
+			t.Fatalf("windowAlign result is not a bijection at %d", i)
 		}
 		seen[v] = true
 		if v>>16 != int32(i)>>16 {
-			t.Fatalf("WindowAlign moved id %d into window %d", i, v>>16)
+			t.Fatalf("windowAlign moved id %d into window %d", i, v>>16)
 		}
 	}
 
@@ -292,7 +296,7 @@ func TestWindowAlign(t *testing.T) {
 	for i := range rev {
 		rev[i] = int32(n - 1 - i)
 	}
-	ar := WindowAlign(rev)
+	ar := windowAlign(rev)
 	for i := 0; i < 65536; i++ {
 		if want := int32(65535 - i); ar[i] != want {
 			t.Fatalf("aligned reversal: ar[%d] = %d, want %d", i, ar[i], want)
@@ -304,8 +308,8 @@ func TestWindowAlign(t *testing.T) {
 			t.Fatalf("aligned reversal tail: ar[%d] = %d, want %d", i, ar[i], want)
 		}
 	}
-	if len(WindowAlign(nil)) != 0 {
-		t.Fatal("WindowAlign(nil) not empty")
+	if len(windowAlign(nil)) != 0 {
+		t.Fatal("windowAlign(nil) not empty")
 	}
 }
 
@@ -376,8 +380,9 @@ func TestTiledStatsCompression(t *testing.T) {
 
 // TestTiledValueCompression pins the uniform-column value compression:
 // an unweighted citation matrix (every column normalized to 1/out-degree)
-// stores one value per column, a weighted matrix falls back to per-entry
-// values, and both reproduce the serial reference bit for bit.
+// stores one value per column and reproduces the serial reference bit
+// for bit, while a matrix with a non-uniform column — weighted entries,
+// or a duplicate coordinate summed to 2 — is refused.
 func TestTiledValueCompression(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	n := 140
@@ -389,53 +394,50 @@ func TestTiledValueCompression(t *testing.T) {
 			uent = append(uent, Coord{Row: int32(r), Col: int32(c), Val: 1})
 		}
 	}
-	um, err := NewMatrix(n, n, uent)
-	if err != nil {
-		t.Fatal(err)
+	uniform := mustStochastic(t, mustMatrix2(t, n, n, uent))
+	ti := uniform.TiledRows(nil, randomPerm(rng, n), 16)
+	if st := ti.Stats(); st.ValueBytes != int64(n)*8 {
+		t.Fatalf("value bytes = %d, want one float64 per column (%d)", st.ValueBytes, n*8)
 	}
-	uniform := mustStochastic(t, um)
+	x, att, rec := randomVectors(rng, n)
+	want := make([]float64, n)
+	referenceStep(uniform, want, x, att, rec, 0.5, 0.3, 0.2)
+	perm := ti.Perm()
+	got := make([]float64, n)
+	ti.Step(got, permuteF64(x, perm), permuteF64(att, perm), permuteF64(rec, perm), 0.5, 0.3, 0.2, 1)
+	for i := range want {
+		if got[perm[i]] != want[i] {
+			t.Fatalf("score of original row %d = %v, want %v (not bit-identical)", i, got[perm[i]], want[i])
+		}
+	}
 
-	// Weighted: same pattern, random weights → per-entry fallback.
+	// Weighted: same pattern, random weights. Duplicate: one more copy of
+	// an entry whose column holds others, so NewMatrix sums it to 2.
 	went := make([]Coord, len(uent))
 	copy(went, uent)
 	for i := range went {
 		went[i].Val = 0.25 + rng.Float64()
 	}
-	wm, err := NewMatrix(n, n, went)
-	if err != nil {
-		t.Fatal(err)
+	var dup Coord
+	for i := 1; i < len(uent); i++ {
+		if uent[i].Col == uent[i-1].Col {
+			dup = uent[i]
+			break
+		}
 	}
-	weighted := mustStochastic(t, wm)
-
 	for _, tc := range []struct {
-		name        string
-		s           *Stochastic
-		wantUniform bool
-	}{{"uniform", uniform, true}, {"weighted", weighted, false}} {
-		ti := tc.s.TiledRows(nil, randomPerm(rng, n), 16)
-		if ti.uniform != tc.wantUniform {
-			t.Fatalf("%s: uniform = %v, want %v", tc.name, ti.uniform, tc.wantUniform)
-		}
-		st := ti.Stats()
-		if tc.wantUniform {
-			if st.ValueBytes != int64(n)*8 {
-				t.Fatalf("uniform: value bytes = %d, want one float64 per column (%d)", st.ValueBytes, n*8)
-			}
-		} else if st.ValueBytes != int64(st.NNZ)*8 {
-			t.Fatalf("weighted: value bytes = %d, want one float64 per entry (%d)", st.ValueBytes, st.NNZ*8)
-		}
-		x, att, rec := randomVectors(rng, n)
-		want := make([]float64, n)
-		referenceStep(tc.s, want, x, att, rec, 0.5, 0.3, 0.2)
-		perm := ti.Perm()
-		got := make([]float64, n)
-		ti.Step(got, permuteF64(x, perm), permuteF64(att, perm), permuteF64(rec, perm), 0.5, 0.3, 0.2, 1)
-		for i := range want {
-			if got[perm[i]] != want[i] {
-				t.Fatalf("%s: score of original row %d = %v, want %v (not bit-identical)",
-					tc.name, i, got[perm[i]], want[i])
-			}
-		}
+		name    string
+		entries []Coord
+	}{{"weighted", went}, {"duplicate", append(append([]Coord(nil), uent...), dup)}} {
+		s := mustStochastic(t, mustMatrix2(t, n, n, tc.entries))
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: non-uniform matrix compiled without a panic", tc.name)
+				}
+			}()
+			s.TiledRows(nil, nil, 16)
+		}()
 	}
 }
 

@@ -41,7 +41,7 @@ go vet ./...
 
 if [ "${1:-}" = "quick" ]; then
 	echo "==> go test -race -short (kernel packages)"
-	go test -race -short -run 'Parallel|Operator|Pool|Partition|Tiled|RCM|Relabel|Window|Degree' \
+	go test -race -short -run 'Parallel|Operator|Pool|Partition|Tiled|Relabel|Window|Degree' \
 		./internal/sparse/ ./internal/core/
 	echo "==> go test -race (scratch metrics bit-equality)"
 	go test -race -run 'Scratch|Ordering|Ranks' ./internal/metrics/
